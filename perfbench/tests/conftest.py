@@ -1,0 +1,8 @@
+"""Make the engine importable when the tests run from a bare checkout."""
+
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
