@@ -76,6 +76,8 @@ _NAMESPACE = zlib.crc32(b"repro.determinism")
 #: the language, not by the process (no addresses, no hash ordering)
 _STABLE_TYPES = (type(None), bool, int, float, str, bytes)
 
+_crc32 = zlib.crc32
+
 
 def _canonical(obj: Any) -> bytes:
     """A process-stable byte encoding of a nested primitive value."""
@@ -89,14 +91,55 @@ def _canonical(obj: Any) -> bytes:
     )
 
 
+def _flat_encoder(signature: Tuple[type, ...]
+                  ) -> Optional[Callable[[tuple], bytes]]:
+    """:func:`_canonical` specialized to flat tuples of one item-type
+    signature, or None when an item type needs the general route.
+
+    Exact types only: a subclass (an ``IntEnum`` member, say) may
+    override ``repr``, which ``%d`` would bypass.
+    """
+    if not all(kind in _STABLE_TYPES for kind in signature):
+        return None
+    if all(kind is int for kind in signature):
+        # b"%d" % n spells repr(n) for an exact int, in ASCII.
+        return (b"(" + b",".join([b"%d"] * len(signature)) + b")").__mod__
+    template = "(" + ",".join(["%r"] * len(signature)) + ")"
+    # UTF-8 encodes code point by code point, so encoding the joined
+    # reprs yields the bytes of joining each item's encoded repr.
+    return lambda key: (template % key).encode("utf-8", "backslashreplace")
+
+
+#: item-type signature -> flat encoder (None: use _canonical); one entry
+#: per signature seen, never per key, up to _MAX_SIGNATURES
+_FLAT_ENCODERS: Dict[Tuple[type, ...], Optional[Callable[[tuple], bytes]]] = {}
+_MAX_SIGNATURES = 1024
+
+
 def stable_hash(obj: Any) -> int:
     """Process-stable 32-bit hash of a group key (or any primitive nest).
 
     Unlike builtin ``hash()``, the result does not depend on
     ``PYTHONHASHSEED``, so hash-table placement -- and therefore
     collision/ejection behavior -- replays identically across runs.
+
+    Always ``zlib.crc32(_canonical(obj))``.  Flat tuples of exact
+    primitives -- every group key on the packet path -- skip the
+    recursive encoder: an encoder built once per item-type signature
+    formats the whole key in one step and feeds crc32 the same bytes,
+    so slot placement is unchanged by construction.
     """
-    return zlib.crc32(_canonical(obj))
+    if type(obj) is tuple:
+        signature = tuple(map(type, obj))
+        try:
+            encoder = _FLAT_ENCODERS[signature]
+        except KeyError:
+            encoder = _flat_encoder(signature)
+            if len(_FLAT_ENCODERS) < _MAX_SIGNATURES:
+                _FLAT_ENCODERS[signature] = encoder
+        if encoder is not None:
+            return _crc32(encoder(obj))
+    return _crc32(_canonical(obj))
 
 
 def derive_seed(seed: int, *names: Any) -> int:

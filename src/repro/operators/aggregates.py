@@ -7,7 +7,10 @@ HFTA later *combines*.  For each GSQL aggregate this module defines
 * ``init/update`` -- per-tuple accumulation,
 * ``partials`` -- the flat slot encoding emitted by an LFTA,
 * ``combine`` -- folding a partial encoding into a state, and
-* ``final`` -- the finished value.
+* ``final`` -- the finished value,
+
+as Python source templates that :class:`AggregateOps` compiles into
+one function per operation over a query's whole aggregate list.
 
 COUNT combines by summing counts; SUM by summing; MIN/MAX by min/max;
 AVG carries a (sum, count) pair across the split.
@@ -15,7 +18,10 @@ AVG carries a (sum, count) pair across the split.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+import functools
+import textwrap
+from types import CodeType
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.gsql.ast_nodes import AggCall
 
@@ -25,11 +31,94 @@ def partial_layout(aggregates: Sequence[AggCall]) -> List[int]:
     return [2 if agg.name == "AVG" else 1 for agg in aggregates]
 
 
+class _Fold(NamedTuple):
+    """Source templates of one aggregate over its state slot ``s[{i}]``."""
+
+    #: the initial state
+    init: str
+    #: statements folding row ``t``; ``_a{i}`` is the argument function
+    update: str
+    #: statements folding row ``t`` with Horvitz-Thompson weight ``w``
+    weighted: str
+    #: statements folding a partial encoding ``p`` whose slots start at
+    #: ``p[{c}]``
+    combine: str
+    #: the state's partial slots, as items of a tuple display
+    partials: str
+    #: the finished value
+    final: str
+
+
+def _extremum(op: str) -> _Fold:
+    """MIN (``op`` is ``<``) or MAX (``>``), undefined until the first
+    value.  Order statistics fold unweighted: no reweighting can
+    correct them, so the sample extremum is the best estimate."""
+    fold = ("v = _a{i}(t)\nx = s[{i}]\n"
+            f"if x is None or v {op} x:\n    s[{{i}}] = v")
+    return _Fold("None", fold, fold,
+                 "v = p[{c}]\nx = s[{i}]\n"
+                 f"if x is None or (v is not None and v {op} x):\n"
+                 "    s[{i}] = v",
+                 "s[{i}]", "s[{i}]")
+
+
+_FOLDS: Dict[str, _Fold] = {
+    "COUNT": _Fold("0", "s[{i}] += 1", "s[{i}] += w", "s[{i}] += p[{c}]",
+                   "s[{i}]", "s[{i}]"),
+    "SUM": _Fold("0", "v = _a{i}(t)\ns[{i}] += v",
+                 "v = _a{i}(t)\ns[{i}] += v * w", "s[{i}] += p[{c}]",
+                 "s[{i}]", "s[{i}]"),
+    "MIN": _extremum("<"),
+    "MAX": _extremum(">"),
+    "AVG": _Fold("[0.0, 0]",
+                 "v = _a{i}(t)\nx = s[{i}]\nx[0] += v\nx[1] += 1",
+                 "v = _a{i}(t)\nx = s[{i}]\nx[0] += v * w\nx[1] += w",
+                 "x = s[{i}]\nx[0] += p[{c}]\nx[1] += p[{c} + 1]",
+                 "*s[{i}]", "(s[{i}][0] / s[{i}][1] if s[{i}][1] else 0.0)"),
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _fold_code(names: Tuple[str, ...], layout: Tuple[int, ...]) -> CodeType:
+    """The compiled operations of one aggregate list, by name, with its
+    :func:`partial_layout`.
+
+    Argument functions are free names (``_a{i}``) bound by the globals
+    each :class:`AggregateOps` executes this code in, so queries with
+    the same aggregate list share one compilation.
+    """
+    folds = [_FOLDS[name] for name in names]
+    cursors = [sum(layout[:index]) for index in range(len(folds))]
+
+    def fill(field: str) -> List[str]:
+        return [getattr(fold, field).format(i=index, c=cursors[index])
+                for index, fold in enumerate(folds)]
+
+    def function(header: str, field: str) -> str:
+        body = "\n".join(fill(field)) or "pass"
+        return f"def {header}:\n" + textwrap.indent(body, "    ") + "\n"
+
+    def display(field: str) -> str:
+        return "(" + "".join(item + ", " for item in fill(field)) + ")"
+
+    source = (
+        f"def new_state():\n    return [{', '.join(fill('init'))}]\n"
+        + function("update(s, t)", "update")
+        + function("update_weighted(s, t, w)", "weighted")
+        + function("combine(s, p)", "combine")
+        + f"def partials(s):\n    return {display('partials')}\n"
+        + f"def final_values(s):\n    return {display('final')}\n")
+    return compile(source, "<aggregates>", "exec")
+
+
 class AggregateOps:
     """Executes a list of aggregates over group state lists.
 
     ``arg_fns`` holds one compiled argument-extractor per aggregate
-    (``None`` for COUNT(*)), each taking the input tuple.
+    (``None`` for COUNT(*)), each taking the input tuple.  Every
+    operation is generated once from the aggregate list, the way
+    ``repro.gsql.codegen`` compiles predicates, so a row or a group
+    pays one call with no per-aggregate dispatch.
     """
 
     def __init__(self, aggregates: Sequence[AggCall],
@@ -37,120 +126,30 @@ class AggregateOps:
         if len(aggregates) != len(arg_fns):
             raise ValueError("one argument function per aggregate required")
         self.aggregates = list(aggregates)
-        self.arg_fns = list(arg_fns)
         self.layout = partial_layout(aggregates)
         self.partial_width = sum(self.layout)
-
-    # -- per-tuple accumulation ------------------------------------------
-    def new_state(self) -> list:
-        state = []
-        for agg in self.aggregates:
-            if agg.name == "COUNT":
-                state.append(0)
-            elif agg.name == "SUM":
-                state.append(0)
-            elif agg.name == "AVG":
-                state.append([0.0, 0])
-            else:  # MIN / MAX start undefined until the first update
-                state.append(None)
-        return state
-
-    def update(self, state: list, row: tuple) -> None:
-        """Fold one raw input tuple into ``state``."""
-        for index, agg in enumerate(self.aggregates):
-            arg_fn = self.arg_fns[index]
-            name = agg.name
-            if name == "COUNT":
-                state[index] += 1
-                continue
-            value = arg_fn(row)
-            if name == "SUM":
-                state[index] += value
-            elif name == "MIN":
-                if state[index] is None or value < state[index]:
-                    state[index] = value
-            elif name == "MAX":
-                if state[index] is None or value > state[index]:
-                    state[index] = value
-            elif name == "AVG":
-                pair = state[index]
-                pair[0] += value
-                pair[1] += 1
-
-    def update_weighted(self, state: list, row: tuple, weight: float) -> None:
-        """Fold one sampled tuple with a Horvitz-Thompson weight.
-
-        Used by the overload control plane: when an LFTA keeps a packet
-        with probability ``p``, the kept tuple carries ``weight = 1/p``
-        so additive aggregates stay unbiased under shedding.  COUNT adds
-        ``weight``, SUM adds ``value * weight``, AVG accumulates the
-        weighted sum over total weight.  MIN/MAX are order statistics --
-        no reweighting can correct them, so they fold unweighted (the
-        sample extremum is the best available estimate).
-        """
-        for index, agg in enumerate(self.aggregates):
-            arg_fn = self.arg_fns[index]
-            name = agg.name
-            if name == "COUNT":
-                state[index] += weight
-                continue
-            value = arg_fn(row)
-            if name == "SUM":
-                state[index] += value * weight
-            elif name == "MIN":
-                if state[index] is None or value < state[index]:
-                    state[index] = value
-            elif name == "MAX":
-                if state[index] is None or value > state[index]:
-                    state[index] = value
-            elif name == "AVG":
-                pair = state[index]
-                pair[0] += value * weight
-                pair[1] += weight
-            # No other aggregate names exist (the semantic layer
-            # rejects unknown aggregates before planning).
-
-    # -- the partial encoding (LFTA output slots) ---------------------------
-    def partials(self, state: list) -> Tuple[Any, ...]:
-        """Flatten ``state`` into the LFTA partial-slot encoding."""
-        out: List[Any] = []
-        for index, agg in enumerate(self.aggregates):
-            if agg.name == "AVG":
-                out.extend(state[index])
-            else:
-                out.append(state[index])
-        return tuple(out)
-
-    def combine(self, state: list, partial_slots: Sequence[Any]) -> None:
-        """Fold one partial encoding (a superaggregate step) into ``state``."""
-        cursor = 0
-        for index, agg in enumerate(self.aggregates):
-            name = agg.name
-            if name == "AVG":
-                pair = state[index]
-                pair[0] += partial_slots[cursor]
-                pair[1] += partial_slots[cursor + 1]
-                cursor += 2
-                continue
-            value = partial_slots[cursor]
-            cursor += 1
-            if name in ("COUNT", "SUM"):
-                state[index] += value
-            elif name == "MIN":
-                if state[index] is None or (value is not None and value < state[index]):
-                    state[index] = value
-            elif name == "MAX":
-                if state[index] is None or (value is not None and value > state[index]):
-                    state[index] = value
-
-    # -- results ----------------------------------------------------------
-    def final_values(self, state: list) -> Tuple[Any, ...]:
-        """One finished value per aggregate, in declaration order."""
-        out: List[Any] = []
-        for index, agg in enumerate(self.aggregates):
-            if agg.name == "AVG":
-                total, count = state[index]
-                out.append(total / count if count else 0.0)
-            else:
-                out.append(state[index])
-        return tuple(out)
+        env = {f"_a{index}": fn for index, fn in enumerate(arg_fns)}
+        exec(_fold_code(tuple(agg.name for agg in self.aggregates),
+                        tuple(self.layout)), env)
+        #: ``() -> state``: a fresh group state
+        self.new_state: Callable[[], list] = env["new_state"]
+        #: ``(state, row)``: fold one raw input tuple into ``state``
+        self.update: Callable[[list, tuple], None] = env["update"]
+        #: ``(state, row, weight)``: fold one sampled tuple with a
+        #: Horvitz-Thompson weight.  Used by the overload control plane:
+        #: when an LFTA keeps a packet with probability ``p``, the kept
+        #: tuple carries ``weight = 1/p`` so additive aggregates stay
+        #: unbiased under shedding.  COUNT adds ``weight``, SUM adds
+        #: ``value * weight``, AVG accumulates the weighted sum over
+        #: total weight; MIN/MAX fold unweighted.
+        self.update_weighted: Callable[[list, tuple, float], None] = (
+            env["update_weighted"])
+        #: ``(state, partial_slots)``: fold one partial encoding (a
+        #: superaggregate step) into ``state``
+        self.combine: Callable[[list, Sequence[Any]], None] = env["combine"]
+        #: ``state -> tuple``: the LFTA partial-slot encoding of ``state``
+        self.partials: Callable[[list], Tuple[Any, ...]] = env["partials"]
+        #: ``state -> tuple``: one finished value per aggregate, in
+        #: declaration order
+        self.final_values: Callable[[list], Tuple[Any, ...]] = (
+            env["final_values"])

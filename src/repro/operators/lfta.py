@@ -244,7 +244,8 @@ class LftaNode(QueryNode):
             if dropped:
                 self.stats.discarded += dropped
             if pairs:
-                self._aggregate_batch(pairs, weight)
+                keys, rows = zip(*pairs)
+                self._aggregate_block(keys, rows, weight)
 
     def _accept_batch_columnar(self, packets) -> None:
         """Columnar block execution (DESIGN section 14).
@@ -296,55 +297,35 @@ class LftaNode(QueryNode):
             if dropped:
                 self.stats.discarded += dropped
             if keys:
-                self._aggregate_columnar(keys, srows, weight)
+                self._aggregate_block(keys, srows, weight)
 
-    def _aggregate_columnar(self, keys, rows, weight: float) -> None:
-        """Aggregate one decoded block's surviving rows.
+    def _aggregate_block(self, keys, rows, weight: float) -> None:
+        """The scalar :meth:`_aggregate` loop over one block's surviving
+        ``keys`` and their ``rows``, in order.
 
-        Windowed plans keep the per-row scalar-order loop: the window
-        high-water check must interleave flush/eject emission exactly
-        as scalar execution would.  Windowless plans upsert the whole
-        key slice through :meth:`DirectMappedTable.upsert_slices`; the
-        generator is consumer-driven, so each row's ejection is emitted
-        and its state updated before the next key touches the table.
+        :meth:`DirectMappedTable.upsert_slices` probes one key per pull,
+        so the window high-water check -- and any flush it fires -- runs
+        before that key's probe, and each ejection is emitted before its
+        row's state update: the table trajectory and the output order
+        are those of scalar execution.
         """
-        if self._window_index >= 0:
-            self._aggregate_batch(list(zip(keys, rows)), weight)
-            return
+        window_index = self._window_index
+        band = self._window_band
+        high_water = self._high_water
         update = self.aggregate_ops.update
         update_weighted = self.aggregate_ops.update_weighted
         weighted = weight != 1.0
         emit_group = self._emit_group
-        position = 0
-        for state, ejected in self.table.upsert_slices(
-                keys, self.aggregate_ops.new_state):
-            if ejected is not None:
-                emit_group(*ejected)
-            if weighted:
-                update_weighted(state, rows[position], weight)
-            else:
-                update(state, rows[position])
-            position += 1
-
-    def _aggregate_batch(self, pairs, weight: float) -> None:
-        """The scalar :meth:`_aggregate` loop with lookups hoisted."""
-        window_index = self._window_index
-        band = self._window_band
-        upsert = self.table.upsert
-        new_state = self.aggregate_ops.new_state
-        update = self.aggregate_ops.update
-        update_weighted = self.aggregate_ops.update_weighted
-        weighted = weight != 1.0
-        for key, row in pairs:
+        probe = self.table.upsert_slices(keys, self.aggregate_ops.new_state)
+        for key, row in zip(keys, rows):
             if window_index >= 0:
                 window_value = key[window_index]
-                high_water = self._high_water
                 if high_water is None or window_value > high_water:
-                    self._high_water = window_value
+                    self._high_water = high_water = window_value
                     self._flush_below(window_value - band)
-            state, ejected = upsert(key, new_state)
+            state, ejected = next(probe)
             if ejected is not None:
-                self._emit_group(*ejected)
+                emit_group(*ejected)
             if weighted:
                 update_weighted(state, row, weight)
             else:

@@ -24,7 +24,11 @@ class DirectMappedTable:
     Slots are placed with :func:`repro.determinism.stable_hash`, not
     builtin ``hash()``: slot choice decides which groups collide and
     get ejected, so with a process-randomized hash two runs of the same
-    workload emit different partials (and different E4 numbers).
+    workload emit different partials (and different E4 numbers).  Group
+    keys are flat tuples of primitives, which ``stable_hash`` encodes
+    with a formatter cached per key-type signature; it feeds crc32 the
+    bytes of the general recursive encoding, so the fast path moves no
+    slot, ejection, or snapshot byte.
     """
 
     __slots__ = ("size", "_slots", "occupied", "collisions", "lookups")
@@ -84,21 +88,21 @@ class DirectMappedTable:
     def upsert_slices(self, keys: Iterable[Any],
                       make_state: Callable[[], Any]
                       ) -> Iterator[Tuple[Any, Optional[Tuple[Any, Any]]]]:
-        """Upsert a block of group keys -- a key slice cut from the
-        columnar path's gathered key columns (DESIGN section 14).
+        """Upsert a block of group keys -- the surviving keys of one
+        block on the LFTA's batched paths (DESIGN section 14).
 
         A generator yielding ``(state, ejected)`` per key, in order.
         Consumption drives the table mutation: each key's lookup,
         insertion, and accounting happen exactly when its result is
-        pulled, so a consumer interleaving ejection emission with state
-        updates observes the same table trajectory as per-row
-        :meth:`upsert` calls.
+        pulled, so a consumer that runs its window flush before each
+        pull and emits each ejection before the next observes the same
+        table trajectory as per-row :meth:`upsert` calls.
         """
         size = self.size
         for key in keys:
-            # self._slots is re-read per key: an evict between pulls
-            # (not the columnar consumer's pattern, but legal) must not
-            # leave this generator mutating a stale slot array.
+            # self._slots is re-read per key: evict_all and
+            # restore_state replace the slot array, and may run between
+            # pulls; this generator must not mutate a stale one.
             self.lookups += 1
             index = stable_hash(key) % size
             slots = self._slots

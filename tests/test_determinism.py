@@ -7,21 +7,28 @@ direct-mapped table) run in two subprocesses with *different*
 ledgers, and group-ejection counts.
 """
 
+import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import zlib
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
 from repro.determinism import (
     ReplayReport,
+    _canonical,
     derive_seed,
     resolve_scenario,
     rng_for,
     run_scenario,
     stable_hash,
+    strip_batch_metrics,
     verify_replay,
 )
 
@@ -52,6 +59,35 @@ class TestStableHash:
             stable_hash(object())
         with pytest.raises(TypeError):
             stable_hash({(1, 2)})
+
+    def test_flat_key_fast_path_feeds_crc32_the_canonical_bytes(self):
+        # stable_hash formats flat tuples of exact primitives with an
+        # encoder cached per item-type signature; it must hash exactly
+        # the bytes of the recursive canonical encoding, or every slot
+        # placement (and every ejection) would move.
+        class Port(IntEnum):
+            HTTP = 80
+
+        values = [
+            0, -1, 2**70, True, False, None,
+            -0.0, math.nan, math.inf, -math.inf, 1e300, 0.1,
+            "", "\u00e9", "\ud800", "it's", 'say "hi"', "back\\slash\n",
+            b"", b"\x00\xff'",
+            Port.HTTP, (1, "a"), ((), [2.5, None]), [b"x", (True,)],
+        ]
+        ints = [0, -1, 7, 2**70, -(2**64), 443]
+        draw = random.Random(20031109)
+        corpus = [tuple(draw.choice(pool) for _ in range(draw.randint(0, 4)))
+                  for pool in (values, ints) for _ in range(3000)]
+        corpus += values
+        for key in corpus + corpus:  # the second pass hits cached encoders
+            assert stable_hash(key) == zlib.crc32(_canonical(key)), key
+
+    def test_fast_path_still_rejects_unstable_items(self):
+        for key in ((1, object()), ("a", {1}), (1.5, 2j), (1, (2, set()))):
+            for _ in range(2):  # a cached signature must not admit it
+                with pytest.raises(TypeError):
+                    stable_hash(key)
 
     def test_cross_process_stability(self):
         # The whole point: the value must not move with PYTHONHASHSEED.
@@ -117,6 +153,36 @@ class TestScenarios:
         a = run_scenario("mixed", seed=1)
         b = run_scenario("mixed", seed=2)
         assert a["rows"]["sampled"] != b["rows"]["sampled"]
+
+
+#: sha256 of the canonical snapshot (``json.dumps(sort_keys=True)``, with
+#: the ``gs_batch*`` families stripped) of the ejection-heavy scenarios,
+#: recorded before the flat-key hash encoder and the compiled aggregate
+#: fold existed.  ``verify-batch`` compares two arms that share
+#: stable_hash and AggregateOps, so a slot-placement or fold drift common
+#: to both would pass it; these pins do not move with the code.
+_PINNED_SNAPSHOT_SHA256 = {
+    ("e4", 3): "98451990c84f4365db1032e6f0681acfc6ce97e55ac9e613378576437981fb0f",
+    ("mixed", 7): "59b1a9fb67bd4b6842c3c6d9b54091c73eb4a65305680d5369fa4dab116c2fb1",
+}
+
+
+class TestPinnedScenarioDigests:
+    @pytest.mark.parametrize("arm", [
+        {"GS_BATCH": "0"},
+        {"GS_BATCH": "1", "GS_COLUMNAR": "0"},
+        {"GS_BATCH": "1", "GS_COLUMNAR": "1"},
+    ], ids=["scalar", "row-block", "columnar"])
+    @pytest.mark.parametrize("name,seed", sorted(_PINNED_SNAPSHOT_SHA256))
+    def test_snapshot_matches_pinned_digest(self, name, seed, arm,
+                                            monkeypatch):
+        for variable, value in arm.items():
+            monkeypatch.setenv(variable, value)
+        monkeypatch.delenv("GS_BATCH_SIZE", raising=False)
+        snapshot = strip_batch_metrics(run_scenario(name, seed))
+        digest = hashlib.sha256(
+            json.dumps(snapshot, sort_keys=True).encode()).hexdigest()
+        assert digest == _PINNED_SNAPSHOT_SHA256[(name, seed)]
 
 
 class TestVerifyReplay:

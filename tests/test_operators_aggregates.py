@@ -98,3 +98,135 @@ class TestPartialCombine:
         combined_final = ops.final_values(combined)
         assert direct_final[:4] == combined_final[:4]
         assert direct_final[4] == pytest.approx(combined_final[4])
+
+
+# -- differential test: compiled folds vs a reference interpreter -------------
+#
+# The per-aggregate loops AggregateOps compiled its folds from, kept here
+# as the reference: the generated code must do the same arithmetic, in
+# the same order, on the same state shapes.
+
+def ref_new_state(aggregates):
+    return [[0.0, 0] if agg.name == "AVG"
+            else None if agg.name in ("MIN", "MAX") else 0
+            for agg in aggregates]
+
+
+def ref_update(aggregates, arg_fns, state, row, weight=None):
+    weighted = weight is not None
+    for index, agg in enumerate(aggregates):
+        name = agg.name
+        if name == "COUNT":
+            state[index] += weight if weighted else 1
+            continue
+        value = arg_fns[index](row)
+        if name == "SUM":
+            state[index] += value * weight if weighted else value
+        elif name == "MIN":
+            if state[index] is None or value < state[index]:
+                state[index] = value
+        elif name == "MAX":
+            if state[index] is None or value > state[index]:
+                state[index] = value
+        elif name == "AVG":
+            pair = state[index]
+            pair[0] += value * weight if weighted else value
+            pair[1] += weight if weighted else 1
+
+
+def ref_combine(aggregates, state, partial_slots):
+    cursor = 0
+    for index, agg in enumerate(aggregates):
+        name = agg.name
+        if name == "AVG":
+            pair = state[index]
+            pair[0] += partial_slots[cursor]
+            pair[1] += partial_slots[cursor + 1]
+            cursor += 2
+            continue
+        value = partial_slots[cursor]
+        cursor += 1
+        if name in ("COUNT", "SUM"):
+            state[index] += value
+        elif name == "MIN":
+            if state[index] is None or (value is not None and value < state[index]):
+                state[index] = value
+        elif name == "MAX":
+            if state[index] is None or (value is not None and value > state[index]):
+                state[index] = value
+
+
+def ref_partials(aggregates, state):
+    out = []
+    for index, agg in enumerate(aggregates):
+        if agg.name == "AVG":
+            out.extend(state[index])
+        else:
+            out.append(state[index])
+    return tuple(out)
+
+
+def ref_final_values(aggregates, state):
+    out = []
+    for index, agg in enumerate(aggregates):
+        if agg.name == "AVG":
+            total, count = state[index]
+            out.append(total / count if count else 0.0)
+        else:
+            out.append(state[index])
+    return tuple(out)
+
+
+def exact(value):
+    """``value`` with every float spelled by ``float.hex`` and every
+    number tagged with its type, so 1 and 1.0 (or two sums that differ
+    in the last bit) never compare equal."""
+    if isinstance(value, (list, tuple)):
+        return [type(value).__name__] + [exact(item) for item in value]
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+AGG_NAMES = ("COUNT", "SUM", "MIN", "MAX", "AVG")
+VALUES = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.1, -0.0, 1e300, 3]))
+
+
+class TestCompiledFoldMatchesReference:
+    @given(aggregates=st.lists(st.tuples(st.sampled_from(AGG_NAMES),
+                                         st.integers(0, 1)), max_size=6),
+           rows=st.lists(st.tuples(st.integers(-1000, 1000), VALUES,
+                                   st.sampled_from([None, 1.0, 2.0, 1 / 0.3])),
+                         max_size=30))
+    def test_states_partials_and_finals_equal(self, aggregates, rows):
+        calls = [AggCall(name, None if name == "COUNT" else Column("v"))
+                 for name, _ in aggregates]
+        arg_fns = [None if name == "COUNT" else (lambda row, col=col: row[col])
+                   for name, col in aggregates]
+        ops = AggregateOps(calls, arg_fns)
+        state, expected = ops.new_state(), ref_new_state(calls)
+        assert exact(state) == exact(expected)
+        for row in rows:
+            weight = row[2]
+            if weight is None:
+                ops.update(state, row)
+                ref_update(calls, arg_fns, expected, row)
+            else:
+                ops.update_weighted(state, row, weight)
+                ref_update(calls, arg_fns, expected, row, weight)
+            assert exact(state) == exact(expected)
+        partials = ops.partials(state)
+        assert exact(partials) == exact(ref_partials(calls, expected))
+        assert exact(ops.final_values(state)) == \
+            exact(ref_final_values(calls, expected))
+        # Superaggregate steps from a fresh state: MIN/MAX start from
+        # None, and a None partial (no rows yet) must not win.
+        empty = ops.partials(ops.new_state())
+        combined, expected_combined = ops.new_state(), ref_new_state(calls)
+        for slots in (empty, partials, empty, partials):
+            ops.combine(combined, slots)
+            ref_combine(calls, expected_combined, slots)
+            assert exact(combined) == exact(expected_combined)
